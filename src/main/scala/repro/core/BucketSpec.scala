@@ -21,7 +21,8 @@ sealed trait BucketSpec extends Serializable {
   */
 final case class NumericBuckets(min: Double, max: Double, count: Int) extends BucketSpec {
   require(count > 0, "need at least one bucket")
-  require(max >= min, s"empty range [$min, $max]")
+  // (+∞, −∞), the range of a column with no present values, buckets nothing.
+  require(max >= min || (min.isPosInfinity && max.isNegInfinity), s"inverted range [$min, $max]")
   private val width = if (max > min) (max - min) / count else 1.0
 
   def indexOf(x: Double): Int =

@@ -60,25 +60,29 @@ final class Engine(val spark: SparkSession) {
   def registerMapFn(id: String)(f: Map[String, String] => RowFn): Unit         = mapFns.put(id, f)
 
   /** Load a source table (logged). */
-  def load(tableId: String, builderId: String, params: Map[String, String] = Map.empty): CachedTable = {
-    log.append(LoadOp(tableId, builderId, params))
-    materialize(LoadOp(tableId, builderId, params))
-  }
+  def load(tableId: String, builderId: String, params: Map[String, String] = Map.empty): CachedTable =
+    define(LoadOp(tableId, builderId, params), tableId)
 
   /** Filter an existing table (logged). */
   def filter(parent: CachedTable, label: String, predId: String,
-             params: Map[String, String] = Map.empty): CachedTable = {
-    val op = FilterOp(s"${parent.id}|filter:$label", parent.id, predId, params)
-    log.append(op)
-    materialize(op)
-  }
+             params: Map[String, String] = Map.empty): CachedTable =
+    define(FilterOp(s"${parent.id}|filter:$label", parent.id, predId, params), label)
 
   /** Derive a column on an existing table (logged). */
   def derive(parent: CachedTable, col: String, fnId: String,
-             params: Map[String, String] = Map.empty): CachedTable = {
-    val op = DeriveOp(s"${parent.id}|derive:$col", parent.id, col, fnId, params)
-    log.append(op)
-    materialize(op)
+             params: Map[String, String] = Map.empty): CachedTable =
+    define(DeriveOp(s"${parent.id}|derive:$col", parent.id, col, fnId, params), col)
+
+  /** Log `op` and return its table. A label (or load id) reused for a
+    * different op would alias the first table's registry and computation-
+    * cache entries, so it is refused; re-issuing an identical op is not.
+    */
+  private def define(op: Op, label: String): CachedTable = {
+    log.find(op.tableId) match {
+      case Some(prev) => require(prev == op, s"label '$label' already names a different table: $prev")
+      case None       => log.append(op)
+    }
+    table(op.tableId)
   }
 
   /** Fetch a table; if its soft state was dropped, lazily replay the log

@@ -1,7 +1,10 @@
 package repro.engine
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 import org.apache.spark.rdd.RDD
+import scala.concurrent.ExecutionContext
 import scala.reflect.ClassTag
+import scala.util.{Failure, Success, Try}
 import repro.core.{LeafCtx, Serde, Sketch}
 import repro.storage.CachedTable
 
@@ -29,12 +32,9 @@ final case class ProgressiveResult[S](partials: Vector[Partial[S]], cancelled: B
 
 /** The distributed execution tree (§5.3): leaves run `summarize` over
   * micropartitions in parallel; aggregation nodes `merge`; the root
-  * receives either the final summary (`run`) or a stream of partial
-  * results (`runProgressive`), without waiting for stragglers.
-  *
-  * On Spark, leaves are partitions of the cached block RDD; the
-  * aggregation layer is `treeAggregate` (for `run`) or per-wave jobs whose
-  * in-wave merge models an aggregation node (for `runProgressive`).
+  * streams partial results (`runProgressive`) or waits for the last one
+  * (`run`). Both are one Spark job over the partitions of the cached
+  * block RDD, whose results the root batches on the aggregation interval.
   */
 object ExecutionTree {
 
@@ -53,9 +53,9 @@ object ExecutionTree {
       Iterator.single(acc)
     }
 
-  /** Blocking execution: full tree, final summary only. */
-  def run[S: ClassTag](t: CachedTable, sk: Sketch[S], seed: Long = 0L, depth: Int = 2): S =
-    leafSummaries(t, sk, seed).treeAggregate(sk.zero)(sk.merge, sk.merge, depth)
+  /** Blocking execution: the progressive job with no intermediate partials. */
+  def run[S: ClassTag](t: CachedTable, sk: Sketch[S], seed: Long = 0L): S =
+    runProgressive(t, sk, seed, aggregationIntervalMs = Long.MaxValue).finalValue
 
   /** Progressive execution: ALL leaves run in parallel (one Spark job);
     * as each leaf's summary arrives at the root it is queued, and the
@@ -63,7 +63,9 @@ object ExecutionTree {
     * emitting a partial — the paper's straggler-tolerant design (§5.3:
     * "nodes periodically propagate partially merged results … aggregation
     * nodes wait for 0.1 seconds and aggregate all results that arrive
-    * within this interval").
+    * within this interval"). The root blocks on the arrival queue until
+    * the next leaf result or deadline; a failed or cancelled job queues
+    * its failure, which the root rethrows.
     *
     * Cancellation cancels the job, which drops not-yet-started
     * micropartitions; running ones are not interrupted, exactly as in the
@@ -77,52 +79,46 @@ object ExecutionTree {
       cancel: Partial[S] => Boolean = (_: Partial[S]) => false
   ): ProgressiveResult[S] = {
     val summ  = leafSummaries(t, sk, seed)
-    val sc    = summ.sparkContext
     val parts = summ.getNumPartitions
     if (parts == 0) return ProgressiveResult(Vector(Partial(sk.zero, 0, 0, 0.0, 0L)), cancelled = false)
 
-    val queue = new java.util.concurrent.ConcurrentLinkedQueue[S]()
+    val queue = new LinkedBlockingQueue[Try[S]]()
     val start = System.nanoTime()
-    val action = sc.submitJob[S, S, Unit](
+    val action = summ.sparkContext.submitJob[S, S, Unit](
       summ,
       (it: Iterator[S]) => it.foldLeft(sk.zero)(sk.merge),
       0 until parts,
-      (_: Int, s: S) => { queue.add(s); () },
+      (_: Int, s: S) => { queue.add(Success(s)); () },
       ())
+    action.failed.foreach(e => queue.add(Failure(e)))(ExecutionContext.parasitic)
 
-    var acc       = sk.zero
-    var done      = 0
-    var cancelled = false
-    var lastEmit  = start
-    var pending   = sk.zero
-    var pendingN  = 0
-    val partials  = Vector.newBuilder[Partial[S]]
-
-    def elapsedMs = (System.nanoTime() - start) / 1e6
+    val intervalNs = TimeUnit.MILLISECONDS.toNanos(aggregationIntervalMs)
+    var acc        = sk.zero
+    var done       = 0
+    var cancelled  = false
+    var lastEmit   = start
+    var pending    = sk.zero
+    var pendingN   = 0
+    val partials   = Vector.newBuilder[Partial[S]]
 
     while (done < parts && !cancelled) {
-      Thread.sleep(2)
-      var s = queue.poll()
-      while (s != null) { pending = sk.merge(pending, s); pendingN += 1; s = queue.poll() }
+      // Wait for a leaf, or only until the interval closes if a batch is pending.
+      var s = if (pendingN == 0) queue.take()
+              else queue.poll(intervalNs - (System.nanoTime() - lastEmit), TimeUnit.NANOSECONDS)
+      while (s != null) { pending = sk.merge(pending, s.get); pendingN += 1; s = queue.poll() }
       val complete = done + pendingN == parts
-      val interval = (System.nanoTime() - lastEmit) / 1e6 >= aggregationIntervalMs
-      if (pendingN > 0 && (complete || interval)) {
+      if (complete || System.nanoTime() - lastEmit >= intervalNs) {
         // The aggregation layer ships one merged update; the root merges
         // it into the running result and forwards a partial to the UI.
         acc = sk.merge(acc, pending)
         done += pendingN
-        val p = Partial(acc, done, parts, elapsedMs, Serde.sizeOf(pending))
+        val p = Partial(acc, done, parts, (System.nanoTime() - start) / 1e6, Serde.sizeOf(pending))
         partials += p
         pending = sk.zero
         pendingN = 0
         lastEmit = System.nanoTime()
-        if (!complete && cancel(p)) {
-          cancelled = true
-          action.cancel()
-        }
+        if (!complete && cancel(p)) { cancelled = true; action.cancel() }
       }
-      if (!cancelled && action.isCompleted && queue.isEmpty && done + pendingN < parts)
-        action.value.get.get // propagate the job failure
     }
     ProgressiveResult(partials.result(), cancelled)
   }

@@ -7,10 +7,10 @@ import repro.core.SplitMix
   * Paper §5.6: derived tables share column data and store a "membership
   * set"; dense tables store a bitmap, sparse tables a hash-set of row
   * indexes, and uniform sampling must work over both without reading
-  * every row. We implement the dense case as a bitmap walked in
-  * increasing index order with geometric skips, and the sparse case as a
-  * sorted index array sampled the same way (Bernoulli over members is
-  * uniform, matching the hash-order scheme in the paper).
+  * every row. We implement the dense case as a bitmap sampled by skips
+  * over row positions that keep only members, and the sparse case as a
+  * sorted index array sampled by skips over its entries (Bernoulli over
+  * members is uniform, matching the hash-order scheme in the paper).
   */
 sealed trait MembershipSet extends Serializable {
   /** Number of rows in the underlying block. */
@@ -86,18 +86,12 @@ final class DenseMembership(val universe: Int, bits: java.util.BitSet) extends M
     def next(): Int = { val r = b; b = bits.nextSetBit(b + 1); r }
   }
 
-  /** Random walk over the bitmap in increasing index order (paper §5.6). */
-  def sample(rate: Double, rng: SplitMix): Iterator[Int] = new Iterator[Int] {
-    private var b = advance(bits.nextSetBit(0), MembershipSet.skip(rate, rng) - 1)
-    private def advance(from: Int, skips: Int): Int = {
-      var cur = from
-      var k   = skips
-      while (k > 0 && cur >= 0) { cur = bits.nextSetBit(cur + 1); k -= 1 }
-      cur
-    }
-    def hasNext: Boolean = b >= 0
-    def next(): Int = { val r = b; b = advance(bits.nextSetBit(b + 1), MembershipSet.skip(rate, rng) - 1); r }
-  }
+  /** Bernoulli(rate) over universe positions, keeping members: an exact
+    * Bernoulli(rate) sample of the members, in increasing order, that
+    * probes on average at most 1/DenseThreshold positions per member kept.
+    */
+  def sample(rate: Double, rng: SplitMix): Iterator[Int] =
+    MembershipSet.samplePositions(universe, rate, rng).filter(bits.get)
 }
 
 final class SparseMembership(val universe: Int, sortedIdx: Array[Int]) extends MembershipSet {

@@ -73,6 +73,31 @@ class EngineSpec extends SparkSpec {
     assert(before.counts.toSeq == after.counts.toSeq)
   }
 
+  test("re-issuing an identical filter or derive returns the table it defines") {
+    val e = newEngine()
+    val t = e.load("li", "lineitem", Map("sf" -> "0.002"))
+    val f = e.filter(t, "big", "qtyAbove", Map("t" -> "40"))
+    val d = e.derive(t, "revenue", "revenue")
+    assert(e.filter(t, "big", "qtyAbove", Map("t" -> "40")) eq f)
+    assert(e.derive(t, "revenue", "revenue") eq d)
+    assert(e.log.entries.size == 3)
+  }
+
+  test("reusing a label for a different load, filter or derive is refused") {
+    val e = newEngine()
+    val t = e.load("li", "lineitem", Map("sf" -> "0.002"))
+    val f = e.filter(t, "big", "qtyAbove", Map("t" -> "40"))
+    e.derive(t, "revenue", "revenue")
+    val ex1 = intercept[IllegalArgumentException](e.filter(t, "big", "qtyAbove", Map("t" -> "10")))
+    assert(ex1.getMessage.contains("big"))
+    val ex2 = intercept[IllegalArgumentException](e.derive(t, "revenue", "revenue", Map("k" -> "2")))
+    assert(ex2.getMessage.contains("revenue"))
+    val ex3 = intercept[IllegalArgumentException](e.load("li", "lineitem", Map("sf" -> "0.004")))
+    assert(ex3.getMessage.contains("li"))
+    assert(e.log.entries.size == 3)
+    assert(e.table(f.id) eq f)
+  }
+
   test("accessing an unknown table fails with a recovery error") {
     val e = newEngine()
     val ex = intercept[IllegalStateException](e.table("nope"))

@@ -1,10 +1,13 @@
 package repro.engine
 
+import org.apache.spark.SparkException
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.time.{Seconds, Span}
 import repro.{SparkSpec, SynthData}
 import repro.core._
-import repro.storage.ColumnStore
+import repro.storage.{CachedTable, ColumnStore, ColumnarBlock}
 
-class ExecutionTreeSpec extends SparkSpec {
+class ExecutionTreeSpec extends SparkSpec with TimeLimits {
 
   private lazy val table = {
     val df = SynthData.uniformKeys(spark, 200000, 1000).repartition(16)
@@ -15,12 +18,6 @@ class ExecutionTreeSpec extends SparkSpec {
   test("run computes the same result as a local fold") {
     val got = ExecutionTree.run(table, StreamingHistogramSketch("k", buckets))
     assert(got.counts.sum + got.outOfRange == 200000L)
-  }
-
-  test("run is independent of tree depth") {
-    val d1 = ExecutionTree.run(table, StreamingHistogramSketch("k", buckets), depth = 1)
-    val d3 = ExecutionTree.run(table, StreamingHistogramSketch("k", buckets), depth = 3)
-    assert(d1.counts.toSeq == d3.counts.toSeq)
   }
 
   test("progressive final value equals blocking run") {
@@ -96,6 +93,33 @@ class ExecutionTreeSpec extends SparkSpec {
     val got = ExecutionTree.run(empty, MomentsSketch("k"))
     assert(got.isEmpty)
   }
+
+  test("run over a table with zero partitions returns the zero summary") {
+    val none = new CachedTable("none", spark.sparkContext.emptyRDD[ColumnarBlock], Seq("k"))
+    assert(none.numLeaves == 0)
+    val got = ExecutionTree.run(none, StreamingHistogramSketch("k", buckets))
+    assert(got.counts.toSeq == StreamingHistogramSketch("k", buckets).zero.counts.toSeq)
+  }
+
+  test("a failing leaf makes run and runProgressive rethrow promptly") {
+    implicit val signaler: Signaler = ThreadSignaler
+    failAfter(Span(30, Seconds)) {
+      val e1 = intercept[SparkException](ExecutionTree.run(table, FailingMoments("k")))
+      assert(e1.getMessage.contains("leaf failed"))
+      val e2 = intercept[SparkException](ExecutionTree.runProgressive(table, FailingMoments("k")))
+      assert(e2.getMessage.contains("leaf failed"))
+    }
+  }
+}
+
+/** Moments sketch whose leaves always throw. */
+final case class FailingMoments(col: String) extends Sketch[MomentsSummary] {
+  private val inner = MomentsSketch(col)
+  def name = "failing.moments"
+  def zero = inner.zero
+  def summarize(b: ColumnarBlock, ctx: LeafCtx): MomentsSummary =
+    throw new IllegalStateException("leaf failed")
+  def merge(a: MomentsSummary, b: MomentsSummary): MomentsSummary = inner.merge(a, b)
 }
 
 /** Moments sketch with an artificial 100 ms leaf delay — used to test

@@ -5,7 +5,7 @@ import repro.SparkSpec
 import repro.core._
 import repro.engine.ComputationCache
 import repro.harness.Datasets
-import repro.storage.CachedTable
+import repro.storage.{CachedTable, ColumnarBlock, RowPred}
 
 class SpreadsheetSpec extends SparkSpec {
 
@@ -79,6 +79,23 @@ class SpreadsheetSpec extends SparkSpec {
     val (st, cdf) = viz.result
     assert(st.by == df.select("Carrier").distinct().count())
     assert(cdf.counts.length == 200)
+  }
+
+  test("charts over a filter that keeps no rows are all zero") {
+    val none = table.filter("none", new RowPred {
+      def apply(b: ColumnarBlock, i: Int): Boolean = false
+    })
+    val s = sheet
+    assert(s.range(none, "DepDelay").isEmpty)
+    assert(s.histogram(none, "DepDelay").result.counts.forall(_ == 0))
+    val (hist, cdf) = s.histogramWithCdf(none, "DepDelay").result
+    assert(hist.counts.forall(_ == 0) && cdf.counts.forall(_ == 0))
+    val (st, stCdf) = s.stackedHistogramWithCdf(none, "DepHour", "Carrier").result
+    assert(st.barCounts.forall(_ == 0) && st.cellCounts.forall(_ == 0) && stCdf.counts.forall(_ == 0))
+    assert(s.heatmap(none, "DepDelay", "ArrDelay").result.cells.forall(_ == 0))
+    assert(s.trellisHeatmap(none, "Carrier", "DepDelay", "ArrDelay").result.plots
+      .forall(_.cells.forall(_ == 0)))
+    none.drop()
   }
 
   test("nextItems equals DataFrame orderBy/limit with duplicate aggregation") {

@@ -84,6 +84,15 @@ class MembershipSetSpec extends AnyFunSuite {
     assert(math.abs(lo.size - hi.size) < 5 * math.sqrt(picks.size.toDouble))
   }
 
+  test("dense sample is the same-seed universe sample filtered to members") {
+    val m = MembershipSet.from(20000, i => i % 3 != 1)
+    assert(m.isInstanceOf[DenseMembership])
+    for (rate <- Seq(0.01, 0.3, 1.0)) {
+      val universe = MembershipSet.full(20000).sample(rate, new SplitMix(17)).filter(m.contains).toVector
+      assert(m.sample(rate, new SplitMix(17)).toVector == universe, s"rate=$rate")
+    }
+  }
+
   test("geometric skip with rate ~1 advances one by one") {
     val rng = new SplitMix(3)
     (1 to 100).foreach(_ => assert(MembershipSet.skip(1.0, rng) == 1))
