@@ -32,7 +32,7 @@ object SparkBaseline {
     * pays this preparation query too, like Hillview's first tree).
     */
   private def range(df: DataFrame, c: String): (Double, Double) = {
-    val r = df.agg(min(col(c)).cast("double"), max(col(c)).cast("double")).head
+    val r = df.agg(min(col(c)).cast("double"), max(col(c)).cast("double")).head()
     (r.getDouble(0), r.getDouble(1))
   }
 

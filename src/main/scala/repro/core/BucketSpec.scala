@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.ColumnarBlock
+import repro.storage.Column
 
 /** Maps a cell to a bucket index in [0, count), or -1 when out of range /
   * missing. Charts are parameterized by one of these per axis; the number
@@ -9,8 +9,10 @@ import repro.storage.ColumnarBlock
   */
 sealed trait BucketSpec extends Serializable {
   def count: Int
-  /** Bucket of row `i` of column `col` in `block`; -1 if not bucketable. */
-  def indexOf(block: ColumnarBlock, col: String, i: Int): Int
+  /** Bucket of row `i` of column `c`; -1 if not bucketable. Sketches bind
+    * `c` once per block, so no row pays a column lookup by name.
+    */
+  def indexOf(c: Column, i: Int): Int
   /** Human-readable label of bucket `b` (for rendered tables). */
   def label(b: Int): String
   def params: String
@@ -29,8 +31,7 @@ final case class NumericBuckets(min: Double, max: Double, count: Int) extends Bu
     if (x.isNaN || x < min || x > max) -1
     else math.min(((x - min) / width).toInt, count - 1)
 
-  def indexOf(block: ColumnarBlock, col: String, i: Int): Int =
-    indexOf(block.column(col).asDouble(i))
+  def indexOf(c: Column, i: Int): Int = indexOf(c.asDouble(i))
 
   def boundary(b: Int): Double = min + b * width
   def label(b: Int): String    = f"[${boundary(b)}%.4g, ${boundary(b + 1)}%.4g)"
@@ -56,8 +57,7 @@ final case class StringBoundaryBuckets(boundaries: Array[String]) extends Bucket
     lo
   }
 
-  def indexOf(block: ColumnarBlock, col: String, i: Int): Int =
-    indexOf(block.column(col).asString(i))
+  def indexOf(c: Column, i: Int): Int = indexOf(c.asString(i))
 
   def label(b: Int): String = boundaries(b)
   def params: String        = s"strb(${boundaries.length}:${boundaries.headOption.getOrElse("")})"
@@ -70,8 +70,7 @@ final case class ExactStringBuckets(values: Array[String]) extends BucketSpec {
 
   def indexOf(s: String): Int = if (s == null) -1 else index.getOrElse(s, -1)
 
-  def indexOf(block: ColumnarBlock, col: String, i: Int): Int =
-    indexOf(block.column(col).asString(i))
+  def indexOf(c: Column, i: Int): Int = indexOf(c.asString(i))
 
   def label(b: Int): String = values(b)
   def params: String        = s"strx(${values.mkString(",")})"

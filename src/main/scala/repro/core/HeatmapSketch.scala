@@ -27,7 +27,7 @@ final case class HeatmapSketch(
     rate: Double = 1.0
 ) extends Sketch[HeatmapSummary] {
   require(rate > 0 && rate <= 1.0, s"rate must be in (0,1]: $rate")
-  def name            = if (rate >= 1.0) "heatmap.streaming" else "heatmap.sampled"
+  def name            = "heatmap"
   override def params = f"$colX,${bucketsX.params},$colY,${bucketsY.params},r=$rate%.8f"
 
   def zero = HeatmapSummary(
@@ -35,27 +35,26 @@ final case class HeatmapSketch(
     bucketsX.count, bucketsY.count, 0L, 0L, rate)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): HeatmapSummary = {
+    val cx    = block.column(colX)
+    val cy    = block.column(colY)
     val by    = bucketsY.count
     val cells = new Array[Long](bucketsX.count * by)
     var miss  = 0L
     var n     = 0L
-    val body = (i: Int) => {
+    block.foreachSampledRow(rate, ctx.rng) { i =>
       n += 1
-      val x = bucketsX.indexOf(block, colX, i)
-      val y = bucketsY.indexOf(block, colY, i)
+      val x = bucketsX.indexOf(cx, i)
+      val y = bucketsY.indexOf(cy, i)
       if (x < 0 || y < 0) miss += 1 else cells(x * by + y) += 1
     }
-    if (rate >= 1.0) block.foreachRow(body) else block.foreachSampledRow(rate, ctx.rng)(body)
     HeatmapSummary(cells, bucketsX.count, by, miss, n, rate)
   }
 
   def merge(a: HeatmapSummary, b: HeatmapSummary): HeatmapSummary = {
     require(a.bx == b.bx && a.by == b.by, "heatmap dims mismatch in merge")
     require(a.rate == b.rate, "rate mismatch in merge")
-    val cells = new Array[Long](a.cells.length)
-    var i = 0
-    while (i < cells.length) { cells(i) = a.cells(i) + b.cells(i); i += 1 }
-    HeatmapSummary(cells, a.bx, a.by, a.missing + b.missing, a.sampled + b.sampled, a.rate)
+    HeatmapSummary(Counts.add(a.cells, b.cells), a.bx, a.by,
+      a.missing + b.missing, a.sampled + b.sampled, a.rate)
   }
 }
 
@@ -81,20 +80,22 @@ final case class TrellisHeatmapSketch(
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): TrellisSummary = {
     // One pass: route each row to its group's heatmap accumulator.
+    val cw    = block.column(colW)
+    val cx    = block.column(colX)
+    val cy    = block.column(colY)
     val by    = bucketsY.count
     val cells = Array.fill(groups.count)(new Array[Long](bucketsX.count * by))
     val miss  = new Array[Long](groups.count)
     val n     = new Array[Long](groups.count)
-    val body = (i: Int) => {
-      val g = groups.indexOf(block, colW, i)
+    block.foreachSampledRow(rate, ctx.rng) { i =>
+      val g = groups.indexOf(cw, i)
       if (g >= 0) {
         n(g) += 1
-        val x = bucketsX.indexOf(block, colX, i)
-        val y = bucketsY.indexOf(block, colY, i)
+        val x = bucketsX.indexOf(cx, i)
+        val y = bucketsY.indexOf(cy, i)
         if (x < 0 || y < 0) miss(g) += 1 else cells(g)(x * by + y) += 1
       }
     }
-    if (rate >= 1.0) block.foreachRow(body) else block.foreachSampledRow(rate, ctx.rng)(body)
     TrellisSummary(Array.tabulate(groups.count)(g =>
       HeatmapSummary(cells(g), bucketsX.count, by, miss(g), n(g), rate)))
   }

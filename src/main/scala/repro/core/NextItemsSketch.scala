@@ -27,14 +27,13 @@ final case class NextItemsSketch(
   def name            = "nextitems"
   override def params = s"${sortCols.mkString(",")},k=$k,start=${start.map(_.render).getOrElse("⊥")}"
 
-  private val ord                = RowKey.ordering(sortCols)
-  private def cols: Seq[String]  = sortCols.map(_.name)
+  private val ord = RowKey.ordering(sortCols)
 
   def zero = NextItemsSummary(Vector.empty)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): NextItemsSummary = {
     val heap   = new java.util.TreeMap[RowKey, Long](ord)
-    val cs     = cols.map(block.column).toArray
+    val cs     = sortCols.map(sc => block.column(sc.name)).toArray
     val signs  = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
     val startK = start.orNull
     block.foreachRow { i =>
@@ -43,7 +42,7 @@ final case class NextItemsSketch(
       val afterStart = startK == null || RowKey.compareRowTo(cs, i, startK, signs) > 0
       if (afterStart &&
           (heap.size < k || RowKey.compareRowTo(cs, i, heap.lastKey, signs) <= 0)) {
-        val key = RowKey.of(block, cols, i)
+        val key = RowKey.of(cs, i)
         heap.merge(key, 1L, (a, b) => a + b)
         if (heap.size > k) heap.pollLastEntry()
       }
@@ -115,13 +114,14 @@ final case class FindTextSketch(
   def zero = FindTextSummary(None, 0L)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): FindTextSummary = {
-    val c = block.column(col)
+    val c  = block.column(col)
+    val cs = sortCols.map(sc => block.column(sc.name)).toArray
     var best: RowKey = null
     var n = 0L
     block.foreachRow { i =>
       if (matches(c.asString(i))) {
         n += 1
-        val key = RowKey.of(block, sortCols.map(_.name), i)
+        val key = RowKey.of(cs, i)
         if (start.forall(s => ord.compare(key, s) > 0) &&
             (best == null || ord.compare(key, best) < 0)) best = key
       }

@@ -33,7 +33,7 @@ final case class PcaSketch(cols: Seq[String], rate: Double = 1.0)
     val cross = new Array[Double](m * m)
     val x     = new Array[Double](m)
     var n     = 0L
-    val body = (i: Int) => {
+    block.foreachSampledRow(rate, ctx.rng) { i =>
       var ok = true
       var j  = 0
       while (ok && j < m) { x(j) = cs(j).asDouble(i); ok = !x(j).isNaN; j += 1 }
@@ -48,7 +48,6 @@ final case class PcaSketch(cols: Seq[String], rate: Double = 1.0)
         }
       }
     }
-    if (rate >= 1.0) block.foreachRow(body) else block.foreachSampledRow(rate, ctx.rng)(body)
     CoMomentsSummary(n, sums, cross, m, rate)
   }
 

@@ -24,18 +24,17 @@ final case class QuantileSketch(
   def name            = "quantile"
   override def params = s"${sortCols.mkString(",")},n=$sampleSize"
 
-  private def cols = sortCols.map(_.name)
-
   def zero = QuantileSummary(Vector.empty, sampleSize)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): QuantileSummary = {
     // Bounded max-heap on priority: keep the sampleSize smallest priorities.
     val heap = new java.util.PriorityQueue[(Long, RowKey)](
       sampleSize + 1, (a: (Long, RowKey), b: (Long, RowKey)) => java.lang.Long.compare(b._1, a._1))
+    val cs = sortCols.map(sc => block.column(sc.name)).toArray
     block.foreachRow { i =>
       val pri = SplitMix.mix(SplitMix.mix(ctx.seed, ctx.blockId.toLong), i.toLong)
       if (heap.size < sampleSize || pri < heap.peek()._1) {
-        heap.add((pri, RowKey.of(block, cols, i)))
+        heap.add((pri, RowKey.of(cs, i)))
         if (heap.size > sampleSize) heap.poll()
       }
     }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.storage.{Column, ColumnarBlock, StringColumn}
+import repro.storage.{Column, StringColumn}
 
 /** One cell of a sort key. Numeric columns (ints, doubles, dates) compare
   * numerically; strings lexicographically; missing values sort last —
@@ -48,15 +48,16 @@ final case class RowKey(cells: Vector[KeyCell]) extends Serializable {
 }
 
 object RowKey {
-  def of(block: ColumnarBlock, cols: Seq[String], i: Int): RowKey =
-    RowKey(cols.iterator.map(c => KeyCell.of(block.column(c), i)).toVector)
+  /** The key of row `i` over columns bound once per block. */
+  def of(cols: Array[Column], i: Int): RowKey =
+    RowKey(cols.iterator.map(KeyCell.of(_, i)).toVector)
 
   /** Compare row `i` of the given columns against `key` under the sort
     * signs WITHOUT materializing a RowKey — the hot reject path of the
     * next-items scan, which discards almost every row of a big table
     * against the current K-th key.
     */
-  def compareRowTo(cols: Array[repro.storage.Column], i: Int, key: RowKey,
+  def compareRowTo(cols: Array[Column], i: Int, key: RowKey,
                    signs: Array[Int]): Int = {
     var j = 0
     while (j < cols.length && j < key.cells.length) {

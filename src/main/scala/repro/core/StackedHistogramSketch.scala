@@ -32,7 +32,7 @@ final case class StackedHistogramSketch(
     rate: Double = 1.0
 ) extends Sketch[StackedHistogramSummary] {
   require(rate > 0 && rate <= 1.0, s"rate must be in (0,1]: $rate")
-  def name            = if (rate >= 1.0) "stacked.streaming" else "stacked.sampled"
+  def name            = "stacked"
   override def params = f"$colX,${bucketsX.params},$colY,${bucketsY.params},r=$rate%.8f"
 
   def zero = StackedHistogramSummary(
@@ -40,34 +40,29 @@ final case class StackedHistogramSketch(
     new Array[Long](bucketsX.count * bucketsY.count), 0L, 0L, rate)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): StackedHistogramSummary = {
+    val cx    = block.column(colX)
+    val cy    = block.column(colY)
     val by    = bucketsY.count
     val bars  = new Array[Long](bucketsX.count)
     val cells = new Array[Long](bucketsX.count * by)
     var miss  = 0L
     var n     = 0L
-    val body = (i: Int) => {
+    block.foreachSampledRow(rate, ctx.rng) { i =>
       n += 1
-      val x = bucketsX.indexOf(block, colX, i)
+      val x = bucketsX.indexOf(cx, i)
       if (x < 0) miss += 1
       else {
         bars(x) += 1
-        val y = bucketsY.indexOf(block, colY, i)
+        val y = bucketsY.indexOf(cy, i)
         if (y >= 0) cells(x * by + y) += 1
       }
     }
-    if (rate >= 1.0) block.foreachRow(body) else block.foreachSampledRow(rate, ctx.rng)(body)
     StackedHistogramSummary(bars, cells, miss, n, rate)
   }
 
   def merge(a: StackedHistogramSummary, b: StackedHistogramSummary): StackedHistogramSummary = {
-    require(a.barCounts.length == b.barCounts.length, "Bx mismatch in merge")
     require(a.rate == b.rate, "rate mismatch in merge")
-    val bars  = new Array[Long](a.barCounts.length)
-    val cells = new Array[Long](a.cellCounts.length)
-    var i = 0
-    while (i < bars.length)  { bars(i)  = a.barCounts(i)  + b.barCounts(i);  i += 1 }
-    i = 0
-    while (i < cells.length) { cells(i) = a.cellCounts(i) + b.cellCounts(i); i += 1 }
-    StackedHistogramSummary(bars, cells, a.missing + b.missing, a.sampled + b.sampled, a.rate)
+    StackedHistogramSummary(Counts.add(a.barCounts, b.barCounts), Counts.add(a.cellCounts, b.cellCounts),
+      a.missing + b.missing, a.sampled + b.sampled, a.rate)
   }
 }

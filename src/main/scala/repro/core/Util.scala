@@ -47,6 +47,19 @@ object SplitMix {
   }
 }
 
+/** Element-wise sum of two count vectors: the merge of every bucketed
+  * summary (histogram, stacked histogram, heat map).
+  */
+object Counts {
+  def add(a: Array[Long], b: Array[Long]): Array[Long] = {
+    require(a.length == b.length, s"bucket count mismatch in merge: ${a.length} vs ${b.length}")
+    val c = new Array[Long](a.length)
+    var i = 0
+    while (i < c.length) { c(i) = a(i) + b(i); i += 1 }
+    c
+  }
+}
+
 /** Java-serialized size of a summary — models the bytes an aggregation
   * node sends to the root (the paper's Fig. 5 bottom metric).
   */

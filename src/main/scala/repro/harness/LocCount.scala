@@ -14,7 +14,7 @@ object T6VizketchLoc {
 
   /** vizketch label -> (source file, top-level declaration, paper LOC). */
   val Mapping: Seq[(String, String, String, Int)] = Seq(
-    ("Histogram", "HistogramSketch.scala", "final case class SampledHistogramSketch", 114),
+    ("Histogram", "HistogramSketch.scala", "final case class HistogramSketch", 114),
     ("CDF", "HistogramSketch.scala", "object CdfSketch", 114),
     ("Stacked histogram", "StackedHistogramSketch.scala", "final case class StackedHistogramSketch", 130),
     ("Heatmap", "HeatmapSketch.scala", "final case class HeatmapSketch", 130),

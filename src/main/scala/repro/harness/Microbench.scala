@@ -19,10 +19,10 @@ object T1SingleThread {
     val m      = LocalWorker.run(blocks, MomentsSketch("x"), 1)
     val bk     = NumericBuckets(m.min, m.max, buckets)
 
-    val streamingMs = LocalWorker.timeMs(blocks, StreamingHistogramSketch("x", bk), 1, reps = reps)
+    val streamingMs = LocalWorker.timeMs(blocks, HistogramSketch("x", bk), 1, reps = reps)
 
     val rate      = SampleSize.rate(SampleSize.histogram(v), rows.toLong)
-    val samplingMs = LocalWorker.timeMs(blocks, SampledHistogramSketch("x", bk, rate), 1, reps = reps)
+    val samplingMs = LocalWorker.timeMs(blocks, HistogramSketch("x", bk, rate), 1, reps = reps)
 
     val conn = DuckDbBaseline.connectionWithData(
       blocks.head.column("x").asInstanceOf[repro.storage.DoubleColumn].values)
@@ -57,10 +57,10 @@ object T4ThreadScalability {
 
     shardCounts.map { n =>
       val blocks = allBlocks.take(n)
-      val streamingMs = LocalWorker.timeMs(blocks, StreamingHistogramSketch("x", bk), n, reps = reps)
+      val streamingMs = LocalWorker.timeMs(blocks, HistogramSketch("x", bk), n, reps = reps)
       // Fixed total sample target; the rate falls as data grows with n.
       val rate       = SampleSize.rate(SampleSize.histogram(v), n.toLong * rowsPerShard)
-      val samplingMs = LocalWorker.timeMs(blocks, SampledHistogramSketch("x", bk, rate), n, reps = reps)
+      val samplingMs = LocalWorker.timeMs(blocks, HistogramSketch("x", bk, rate), n, reps = reps)
       Row(n, streamingMs, samplingMs)
     }
   }
@@ -91,9 +91,9 @@ object T5ServerScalability {
     serverCounts.map { n =>
       val perServer: IndexedSeq[IndexedSeq[ColumnarBlock]] =
         (0 until n).map(s => allBlocks.slice(s * shardsPerServer, (s + 1) * shardsPerServer))
-      val streaming = ClusterSim.run(perServer, StreamingHistogramSketch("x", bk), threadsPerServer)
+      val streaming = ClusterSim.run(perServer, HistogramSketch("x", bk), threadsPerServer)
       val rate      = SampleSize.rate(SampleSize.histogram(v), n.toLong * shardsPerServer * rowsPerShard)
-      val sampling  = ClusterSim.run(perServer, SampledHistogramSketch("x", bk, rate), threadsPerServer)
+      val sampling  = ClusterSim.run(perServer, HistogramSketch("x", bk, rate), threadsPerServer)
       Row(n, streaming.simulatedLatencyMs, sampling.simulatedLatencyMs)
     }
   }

@@ -40,20 +40,21 @@ object Questions {
 
   private def countOf(s: Spreadsheet, t: CachedTable): Long = s.range(t, "Distance").count
 
-  /** Per-color mean of X read off a stacked histogram: Σ center·cell/Σ cell. */
-  private def meansByGroup(sum: StackedHistogramSummary, xb: NumericBuckets,
-                           groups: BucketSpec): Seq[(String, Double)] = {
-    (0 until sum.by).map { y =>
+  /** Per-group mean of a numeric axis read off a 2-D chart of counts:
+    * Σ centre·count / Σ count over the axis buckets of each group, NaN for
+    * an empty group. `count(g, b)` is the count of group g in axis bucket b.
+    */
+  private def centreMeans(groups: Int, axis: NumericBuckets)(count: (Int, Int) => Long): IndexedSeq[Double] =
+    (0 until groups).map { g =>
       var w = 0.0
       var n = 0.0
-      for (x <- 0 until sum.bx) {
-        val c = sum.cell(x, y).toDouble
-        w += c * (xb.boundary(x) + xb.boundary(x + 1)) / 2.0
+      for (b <- 0 until axis.count) {
+        val c = count(g, b).toDouble
+        w += c * (axis.boundary(b) + axis.boundary(b + 1)) / 2.0
         n += c
       }
-      (groups.label(y), if (n > 0) w / n else Double.NaN)
-    }.filterNot(_._2.isNaN)
-  }
+      if (n > 0) w / n else Double.NaN
+    }
 
   /** Run a stacked histogram X=numeric, Y=string with up to `maxGroups`
     * exact groups and return per-group means of X.
@@ -64,8 +65,9 @@ object Questions {
     val sy = s.stringRange(t, yCol)
     val yb = StringBucketsSketch.toBuckets(sy, maxGroups)
     val xb = NumericBuckets(m.min, m.max, 100)
-    val viz = repro.engine.ExecutionTree.run(t, StackedHistogramSketch(xCol, xb, yCol, yb))
-    meansByGroup(viz, xb, yb)
+    val sum = repro.engine.ExecutionTree.run(t, StackedHistogramSketch(xCol, xb, yCol, yb))
+    centreMeans(sum.by, xb)((y, x) => sum.cell(x, y)).zipWithIndex
+      .collect { case (mean, y) if !mean.isNaN => (yb.label(y), mean) }
   }
 
   // ---------- the twenty questions ----------
@@ -135,15 +137,8 @@ object Questions {
       val hb = NumericBuckets(0, 24, 24)
       val heat = repro.engine.ExecutionTree.run(t,
         HeatmapSketch("DepHour", hb, "DepDelay", xb))
-      val meanByHour = (0 until 24).map { h =>
-        var w = 0.0; var n = 0.0
-        for (y <- 0 until heat.by) {
-          val c = heat.cell(h, y).toDouble
-          w += c * (xb.boundary(y) + xb.boundary(y + 1)) / 2.0; n += c
-        }
-        (h, if (n > 0) w / n else Double.NaN)
-      }.filterNot(_._2.isNaN)
-      val best = meanByHour.minBy(_._2)
+      val best = centreMeans(24, xb)(heat.cell).zipWithIndex
+        .collect { case (mean, h) if !mean.isNaN => (h, mean) }.minBy(_._2)
       f"${best._1}:00 (mean delay ${best._2}%.1f min)"
     }
 
@@ -165,7 +160,7 @@ object Questions {
     timedAnswer("Q10", "Which date had the most flights?", 1) {
       val m  = s.range(t, "FlightDate")
       val xb = NumericBuckets(m.min, m.max + 1, math.min(500, (m.max - m.min).toInt + 1))
-      val hist = repro.engine.ExecutionTree.run(t, StreamingHistogramSketch("FlightDate", xb))
+      val hist = repro.engine.ExecutionTree.run(t, HistogramSketch("FlightDate", xb))
       val b = hist.counts.indices.maxBy(hist.counts)
       val day = java.time.LocalDate.ofEpochDay(xb.boundary(b).toLong)
       s"around $day (bucket of ${hist.counts(b)} flights)"
@@ -227,14 +222,8 @@ object Questions {
         val xb = NumericBuckets(m.min, m.max, 100)
         val db = NumericBuckets(1, 8, 7)
         val heat = repro.engine.ExecutionTree.run(ft, HeatmapSketch("DayOfWeek", db, "DepDelay", xb))
-        val best = (0 until 7).map { d =>
-          var w = 0.0; var n = 0.0
-          for (y <- 0 until heat.by) {
-            val c = heat.cell(d, y).toDouble
-            w += c * (xb.boundary(y) + xb.boundary(y + 1)) / 2.0; n += c
-          }
-          (d + 1, if (n > 0) w / n else Double.MaxValue)
-        }.minBy(_._2)
+        val best = centreMeans(7, xb)(heat.cell).zipWithIndex
+          .map { case (mean, d) => (d + 1, if (mean.isNaN) Double.MaxValue else mean) }.minBy(_._2)
         f"weekday ${best._1} (mean ${best._2}%.1f min)"
       }
     }
@@ -243,7 +232,7 @@ object Questions {
     timedAnswer("Q18", "Which day in December has the most and least flights?", 2) {
       withFiltered(t, "dec", eqNum("Month", 12.0)) { ft =>
         val hist = repro.engine.ExecutionTree.run(ft,
-          StreamingHistogramSketch("DayOfMonth", NumericBuckets(1, 32, 31)))
+          HistogramSketch("DayOfMonth", NumericBuckets(1, 32, 31)))
         val most  = hist.counts.indices.maxBy(hist.counts) + 1
         val least = hist.counts.indices.minBy(hist.counts) + 1
         s"most: Dec $most, least: Dec $least"

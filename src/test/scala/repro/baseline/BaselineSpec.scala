@@ -17,12 +17,12 @@ class SparkBaselineSpec extends SparkSpec {
 
   test("O8 baseline top airport equals exact group-by") {
     val exact = df.groupBy("Origin").count().orderBy(desc("count")).limit(1)
-      .head.getString(0)
+      .head().getString(0)
     assert(SparkBaseline.o8(df).note == s"top=$exact")
   }
 
   test("O9 baseline distinct equals exact countDistinct") {
-    val exact = df.select(countDistinct("FlightNum")).head.getLong(0)
+    val exact = df.select(countDistinct("FlightNum")).head().getLong(0)
     assert(SparkBaseline.o9(df).note == s"distinct=$exact")
   }
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.storage.{Column, DateColumn, DoubleColumn, LongColumn, StringColumn}
 
 class BucketSpecSpec extends AnyFunSuite {
 
@@ -75,5 +76,29 @@ class BucketSpecSpec extends AnyFunSuite {
     assert(ExactStringBuckets(Array("x", "y")).label(1) == "y")
     assert(StringBoundaryBuckets(Array("a", "m")).label(0) == "a")
     assert(NumericBuckets(0, 10, 2).label(0).startsWith("["))
+  }
+
+  test("indexOf(column, i) equals indexOf(value) for every column kind, and missing cells are -1") {
+    val nulls = new java.util.BitSet(); nulls.set(2)
+    val columns: Seq[(Column, Int)] = Seq( // (column, row of its missing cell)
+      DoubleColumn(Array(1.5, 42.0, Double.NaN, 99.0, -3.0)) -> 2,
+      LongColumn(Array(7L, 100L, 0L, 55L, 200L), nulls) -> 2,
+      DateColumn(Array(10, 20, 30, 19000, 40), nulls) -> 2,
+      StringColumn(Array("AA", "DL", "UA", "42.0"), Array(0, 1, -1, 2, 3)) -> 2,
+    )
+    val num  = NumericBuckets(0, 100, 10)
+    val strb = StringBoundaryBuckets(Array("1", "5", "D", "U"))
+    val strx = ExactStringBuckets(Array("AA", "UA", "7", "42.0", "1970-01-21"))
+    for ((c, missingRow) <- columns; i <- 0 until c.size) {
+      assert(num.indexOf(c, i) == num.indexOf(c.asDouble(i)), s"$c row $i")
+      assert(strb.indexOf(c, i) == strb.indexOf(c.asString(i)), s"$c row $i")
+      assert(strx.indexOf(c, i) == strx.indexOf(c.asString(i)), s"$c row $i")
+      if (i == missingRow)
+        assert(num.indexOf(c, i) == -1 && strb.indexOf(c, i) == -1 && strx.indexOf(c, i) == -1)
+    }
+    val Seq(doubles, longs, dates, strings) = columns.map(_._1)
+    assert(num.indexOf(doubles, 1) == 4 && num.indexOf(longs, 3) == 5 && num.indexOf(dates, 0) == 1)
+    assert(strx.indexOf(doubles, 1) == 3 && strx.indexOf(longs, 0) == 2 && strx.indexOf(dates, 1) == 4)
+    assert(strb.indexOf(strings, 3) == 3 && strx.indexOf(strings, 0) == 0)
   }
 }

@@ -98,7 +98,7 @@ class SketchOracleSpec extends SparkSpec {
         |       MAX(CAST(l_extendedprice AS DOUBLE)) AS mx
         |FROM lineitem""".stripMargin,
       "lineitem" -> li)
-    val exactSum = li.agg(org.apache.spark.sql.functions.sum("l_extendedprice")).head.getDouble(0)
+    val exactSum = li.agg(org.apache.spark.sql.functions.sum("l_extendedprice")).head().getDouble(0)
     assert(math.abs(m.sum - exactSum) < 1e-9 * math.abs(exactSum))
   }
 

@@ -13,10 +13,10 @@ class FlightsSpec extends SparkSpec {
   }
 
   test("generation is deterministic in (rows, seed)") {
-    val a = Flights.gen(spark, 5000, seed = 7).agg(sum("Distance"), sum("FlightNum")).head
-    val b = Flights.gen(spark, 5000, seed = 7).agg(sum("Distance"), sum("FlightNum")).head
+    val a = Flights.gen(spark, 5000, seed = 7).agg(sum("Distance"), sum("FlightNum")).head()
+    val b = Flights.gen(spark, 5000, seed = 7).agg(sum("Distance"), sum("FlightNum")).head()
     assert(a == b)
-    val c = Flights.gen(spark, 5000, seed = 8).agg(sum("Distance"), sum("FlightNum")).head
+    val c = Flights.gen(spark, 5000, seed = 8).agg(sum("Distance"), sum("FlightNum")).head()
     assert(a != c)
   }
 
@@ -41,10 +41,10 @@ class FlightsSpec extends SparkSpec {
   }
 
   test("EV stops flying after day 1200 (Q19 ground truth)") {
-    val evMax = df.filter(col("Carrier") === "EV").agg(max("FlightDate")).head.getDate(0)
+    val evMax = df.filter(col("Carrier") === "EV").agg(max("FlightDate")).head().getDate(0)
     val limit = java.time.LocalDate.parse(Flights.StartDate).plusDays(Flights.EvLastDay + 1)
     assert(!evMax.toLocalDate.isAfter(limit))
-    val othersMax = df.filter(col("Carrier") === "DL").agg(max("FlightDate")).head.getDate(0)
+    val othersMax = df.filter(col("Carrier") === "DL").agg(max("FlightDate")).head().getDate(0)
     assert(othersMax.toLocalDate.isAfter(limit))
   }
 

@@ -95,6 +95,9 @@ class SpreadsheetSpec extends SparkSpec {
     assert(s.heatmap(none, "DepDelay", "ArrDelay").result.cells.forall(_ == 0))
     assert(s.trellisHeatmap(none, "Carrier", "DepDelay", "ArrDelay").result.plots
       .forall(_.cells.forall(_ == 0)))
+    val (origins, strHist) = s.stringHistogram(none, "Origin").result
+    assert(origins.count == 0 && strHist.counts.isEmpty)
+    assert(Render.histogramPixels(strHist, s.defaultV).isEmpty)
     none.drop()
   }
 

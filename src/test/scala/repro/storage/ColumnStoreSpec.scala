@@ -49,7 +49,7 @@ class ColumnStoreSpec extends SparkSpec {
   test("sketch over the cached table equals DataFrame aggregation") {
     val t = ColumnStore.fromDataFrame("li5", li)
     val m = ExecutionTree.run(t, MomentsSketch("l_quantity"))
-    val row = li.agg(count(lit(1)), min("l_quantity"), max("l_quantity"), sum("l_quantity")).head
+    val row = li.agg(count(lit(1)), min("l_quantity"), max("l_quantity"), sum("l_quantity")).head()
     assert(m.count == row.getLong(0))
     assert(m.min == row.getDouble(1))
     assert(m.max == row.getDouble(2))
@@ -74,7 +74,7 @@ class ColumnStoreSpec extends SparkSpec {
         b.column("l_extendedprice").asDouble(i) * (1.0 - b.column("l_discount").asDouble(i))
     })
     val m = ExecutionTree.run(d, MomentsSketch("revenue"))
-    val exact = li.agg(sum(col("l_extendedprice") * (lit(1.0) - col("l_discount")))).head.getDouble(0)
+    val exact = li.agg(sum(col("l_extendedprice") * (lit(1.0) - col("l_discount")))).head().getDouble(0)
     assert(math.abs(m.sum - exact) < 1e-6 * math.abs(exact))
     d.drop(); t.drop()
   }
