@@ -93,7 +93,8 @@ final case class FindTextSketch(
   def name            = "findtext"
   override def params = s"$col,$pattern,$mode,cs=$caseSensitive,start=${start.map(_.render).getOrElse("⊥")}"
 
-  private val ord = RowKey.ordering(sortCols)
+  private val ord          = RowKey.ordering(sortCols)
+  private val lowerPattern = pattern.toLowerCase
   @transient private lazy val regex =
     if (mode == RegexMatch)
       java.util.regex.Pattern.compile(pattern,
@@ -106,7 +107,7 @@ final case class FindTextSketch(
       case ExactMatch     => if (caseSensitive) s == pattern else s.equalsIgnoreCase(pattern)
       case SubstringMatch =>
         if (caseSensitive) s.contains(pattern)
-        else s.toLowerCase.contains(pattern.toLowerCase)
+        else s.toLowerCase.contains(lowerPattern)
       case RegexMatch     => regex.matcher(s).find()
     }
   }
@@ -114,16 +115,18 @@ final case class FindTextSketch(
   def zero = FindTextSummary(None, 0L)
 
   def summarize(block: ColumnarBlock, ctx: LeafCtx): FindTextSummary = {
-    val c  = block.column(col)
-    val cs = sortCols.map(sc => block.column(sc.name)).toArray
+    val c      = block.column(col)
+    val cs     = sortCols.map(sc => block.column(sc.name)).toArray
+    val signs  = sortCols.map(sc => if (sc.ascending) 1 else -1).toArray
+    val startK = start.orNull
     var best: RowKey = null
     var n = 0L
     block.foreachRow { i =>
       if (matches(c.asString(i))) {
         n += 1
-        val key = RowKey.of(cs, i)
-        if (start.forall(s => ord.compare(key, s) > 0) &&
-            (best == null || ord.compare(key, best) < 0)) best = key
+        // Reject without building the key; only a new best is materialized.
+        if ((startK == null || RowKey.compareRowTo(cs, i, startK, signs) > 0) &&
+            (best == null || RowKey.compareRowTo(cs, i, best, signs) < 0)) best = RowKey.of(cs, i)
       }
     }
     FindTextSummary(Option(best), n)

@@ -37,11 +37,12 @@ object SampleSize {
   def heatmap(colors: Int = 20, pMaxGuess: Double, delta: Double = 0.01): Long =
     math.ceil(colors.toLong * colors / (pMaxGuess * pMaxGuess) * math.log(1.0 / delta)).toLong
 
-  /** Quantile for a V-pixel scroll bar: ε = 1/(2V) gives O(V² log(1/δ))
-    * samples (Theorem 2).
+  /** Quantile for a V-pixel scroll bar. Theorem 2 bounds ε = 1/(2V) with
+    * O(V² log(1/δ)) samples; App. C.1 notes that O(V²) samples give
+    * constant success probability and C·V² works in practice, so the target
+    * is the practical V², capped at 100,000 rows.
     */
-  def quantile(v: Int, delta: Double = 0.01, c: Double = 4.0): Long =
-    math.ceil(c * v.toLong * v * math.log(1.0 / delta)).toLong
+  def quantile(v: Int): Long = math.min(v.toLong * v, 100000L)
 
   /** Sampling heavy hitters with threshold 1/K: n = K² log(K/δ)
     * (Theorem 4 with α = 1/K).

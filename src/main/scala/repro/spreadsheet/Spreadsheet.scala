@@ -162,13 +162,11 @@ final class Spreadsheet(val cache: ComputationCache, val defaultV: Int = 200,
     */
   def quantileThenNext(t: CachedTable, sortCols: Seq[SortCol], q: Double,
                        k: Int = 20, v: Int = 0, seed: Long = 1): Viz[NextItemsSummary] = {
-    val vv = if (v > 0) v else defaultScrollV
-    // Practical target n = V² (App. C.1: "requires sample complexity
-    // O(V²) for constant probability of success").
-    val n   = math.min(vv.toLong * vv, 100000L).toInt
-    val qv  = progressive(t, QuantileSketch(sortCols, n), seed, 0.0)
-    val at  = QuantileSketch.quantileOf(qv.result, sortCols, q)
-    val nx  = progressive(t, NextItemsSketch(sortCols, k, at), seed + 1, 0.0)
+    val vv   = if (v > 0) v else defaultScrollV
+    val rate = SampleSize.rate(SampleSize.quantile(vv), t.numRows)
+    val qv   = progressive(t, QuantileSketch(sortCols, rate), seed, 0.0)
+    val at   = QuantileSketch.quantileOf(qv.result, q)
+    val nx   = progressive(t, NextItemsSketch(sortCols, k, at), seed + 1, 0.0)
     Viz(nx.result, qv.info + nx.info)
   }
 

@@ -80,13 +80,13 @@ class MergePropertiesSpec extends AnyFunSuite {
     })
   }
 
-  test("quantile bottom-k merge is order-insensitive") {
+  test("quantile merge is order-insensitive") {
     check(Prop.forAll(dataGen) { case (xs, split) =>
-      val sk = QuantileSketch(Seq(SortCol("x")), 20)
+      val sk = QuantileSketch(Seq(SortCol("x")), 0.3)
       val (b1, b2) = halves(xs, split)
       val s1 = sk.summarize(b1, LeafCtx(0, 0))
       val s2 = sk.summarize(b2, LeafCtx(1, 0))
-      sk.merge(s1, s2).sample == sk.merge(s2, s1).sample
+      sk.merge(s1, s2).rows == sk.merge(s2, s1).rows
     })
   }
 }

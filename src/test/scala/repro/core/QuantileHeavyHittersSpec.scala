@@ -3,58 +3,81 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.TestData._
+import repro.storage.{DenseMembership, SparseMembership}
 
 class QuantileSketchSpec extends AnyFunSuite {
 
   private val n      = 50000
   private val values = randomDoubles(n, seed = 12)
   private val sort   = Seq(SortCol("x"))
+  private val ord    = RowKey.ordering(sort)
+
+  private def within5Sigma(got: Int, rate: Double, rows: Int): Boolean =
+    math.abs(got - rate * rows) < 5 * math.sqrt(rows * rate * (1 - rate))
 
   test("quantile estimate is within the Theorem-2 rank bound") {
     val v    = 100 // scroll bar pixels
-    val size = SampleSize.quantile(v).toInt
-    val s    = sketchAll(QuantileSketch(sort, size), splitBlocks(values, 8))
+    val rate = SampleSize.rate(SampleSize.quantile(v), n.toLong)
+    val s    = sketchAll(QuantileSketch(sort, rate), splitBlocks(values, 8))
     val sorted = values.sorted
     for (q <- Seq(0.1, 0.25, 0.5, 0.75, 0.9)) {
-      val got  = QuantileSketch.quantileOf(s, sort, q).get.cells.head.asInstanceOf[NumCell].v
+      val got  = QuantileSketch.quantileOf(s, q).get.cells.head.asInstanceOf[NumCell].v
       val rank = sorted.count(_ <= got).toDouble / n
       assert(math.abs(rank - q) < 3.0 / (2 * v) + 0.02, f"q=$q rank=$rank%.3f")
     }
   }
 
-  test("sample size is bounded by capacity") {
-    val s = sketchAll(QuantileSketch(sort, 100), splitBlocks(values, 8))
-    assert(s.sample.size == 100)
+  test("the sample size is within five standard deviations of rate × rows") {
+    val rate = 0.05
+    val s    = sketchAll(QuantileSketch(sort, rate), splitBlocks(values, 8))
+    assert(within5Sigma(s.rows.size, rate, n), s"sampled ${s.rows.size}")
   }
 
   test("small data: sample holds everything, quantile is exact") {
     val vals = Array(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
-    val s    = sketchAll(QuantileSketch(sort, 100), splitBlocks(vals, 3))
-    assert(s.sample.size == 10)
-    val med = QuantileSketch.quantileOf(s, sort, 0.5).get.cells.head.asInstanceOf[NumCell].v
+    val s    = sketchAll(QuantileSketch(sort, 1.0), splitBlocks(vals, 3))
+    assert(s.rows.size == 10)
+    val med = QuantileSketch.quantileOf(s, 0.5).get.cells.head.asInstanceOf[NumCell].v
     assert(med == 6.0) // index floor(0.5*10)=5 of sorted
   }
 
   test("deterministic in seed; different seeds sample differently") {
-    val a = sketchAll(QuantileSketch(sort, 500), splitBlocks(values, 4), seed = 1)
-    val b = sketchAll(QuantileSketch(sort, 500), splitBlocks(values, 4), seed = 1)
-    val c = sketchAll(QuantileSketch(sort, 500), splitBlocks(values, 4), seed = 2)
-    assert(a.sample == b.sample)
-    assert(a.sample != c.sample)
+    val a = sketchAll(QuantileSketch(sort, 0.01), splitBlocks(values, 4), seed = 1)
+    val b = sketchAll(QuantileSketch(sort, 0.01), splitBlocks(values, 4), seed = 1)
+    val c = sketchAll(QuantileSketch(sort, 0.01), splitBlocks(values, 4), seed = 2)
+    assert(a.rows == b.rows)
+    assert(a.rows != c.rows)
   }
 
-  test("merge keeps the lowest-priority rows (bottom-k law)") {
-    val sk = QuantileSketch(sort, 50)
+  test("merge is the sorted union of both samples") {
+    val sk = QuantileSketch(sort, 0.05)
     val s1 = sk.summarize(doubleBlockNamed("x", values.take(1000)), LeafCtx(0, 3))
     val s2 = sk.summarize(doubleBlockNamed("x", values.slice(1000, 2000)), LeafCtx(1, 3))
     val m  = sk.merge(s1, s2)
-    val expected = (s1.sample ++ s2.sample).sortBy(_._1).take(50)
-    assert(m.sample == expected.toVector)
+    assert(s1.rows.nonEmpty && s2.rows.nonEmpty)
+    assert(m.rows == (s1.rows ++ s2.rows).sorted(ord))
+  }
+
+  test("samples of dense and sparse filtered blocks hold only members, about rate × members") {
+    // The value of row i is i, so a sampled key names its row.
+    val rows  = 20000
+    val block = doubleBlockNamed("x", Array.tabulate(rows)(_.toDouble))
+    val rate  = 0.1
+    for ((kind, keep, cls) <- Seq[(String, Int => Boolean, Class[_])](
+           ("dense", i => i % 3 != 0, classOf[DenseMembership]),
+           ("sparse", i => i % 20 == 0, classOf[SparseMembership]))) {
+      val f       = block.filtered(keep)
+      val members = f.rowCount
+      assert(f.membership.getClass == cls, kind)
+      val s       = QuantileSketch(sort, rate).summarize(f, LeafCtx(0, 9))
+      assert(s.rows.forall(k => keep(k.cells.head.asInstanceOf[NumCell].v.toInt)), kind)
+      assert(within5Sigma(s.rows.size, rate, members), s"$kind sampled ${s.rows.size} of $members")
+    }
   }
 
   test("empty input yields no quantile") {
-    val s = QuantileSketch(sort, 10).zero
-    assert(QuantileSketch.quantileOf(s, sort, 0.5).isEmpty)
+    val s = QuantileSketch(sort, 0.5).zero
+    assert(QuantileSketch.quantileOf(s, 0.5).isEmpty)
   }
 }
 

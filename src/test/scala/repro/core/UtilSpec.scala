@@ -101,8 +101,9 @@ class SampleSizeSpec extends AnyFunSuite {
       math.ceil(k.toLong * k * math.log(k / 0.01)).toLong)
   }
 
-  test("quantile target exceeds histogram target at the same V (4x constant)") {
-    assert(SampleSize.quantile(200) > SampleSize.histogram(200))
+  test("quantile target is the practical V², capped at 100,000 rows") {
+    assert(SampleSize.quantile(100) == 10000L)
+    assert(SampleSize.quantile(1000) == 100000L)
   }
 
   test("heatmap target is quadratic in 1/pmax") {

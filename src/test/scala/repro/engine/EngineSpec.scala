@@ -1,7 +1,7 @@
 package repro.engine
 
 import repro.{SparkSpec, SynthData}
-import repro.core.{MomentsSketch, NumericBuckets, SampledHistogramSketch}
+import repro.core.{MomentsSketch, NumericBuckets, QuantileSketch, SampledHistogramSketch, SortCol}
 import repro.storage.{ColumnStore, ColumnarBlock, RowFn, RowPred}
 
 class EngineSpec extends SparkSpec {
@@ -67,10 +67,14 @@ class EngineSpec extends SparkSpec {
     val e  = newEngine()
     val t  = e.load("li", "lineitem", Map("sf" -> "0.002"))
     val sk = SampledHistogramSketch("l_quantity", NumericBuckets(0, 60, 20), 0.1)
-    val before = ExecutionTree.run(t, sk, seed = 77)
+    val q  = QuantileSketch(Seq(SortCol("l_quantity"), SortCol("l_extendedprice")), 0.1)
+    val before  = ExecutionTree.run(t, sk, seed = 77)
+    val qBefore = ExecutionTree.run(t, q, seed = 77)
     e.dropAllSoftState()
     val after = ExecutionTree.run(e.table("li"), sk, seed = 77)
     assert(before.counts.toSeq == after.counts.toSeq)
+    assert(qBefore.rows.nonEmpty)
+    assert(qBefore == ExecutionTree.run(e.table("li"), q, seed = 77))
   }
 
   test("re-issuing an identical filter or derive returns the table it defines") {

@@ -84,6 +84,11 @@ class ExecutionTreeSpec extends SparkSpec with TimeLimits {
     assert(a.counts.toSeq == b.counts.toSeq)
     val c = ExecutionTree.run(table, sk, seed = 6)
     assert(a.counts.toSeq != c.counts.toSeq)
+    val q  = QuantileSketch(Seq(SortCol("k")), 0.01)
+    val qa = ExecutionTree.run(table, q, seed = 5)
+    assert(qa.rows.nonEmpty)
+    assert(qa == ExecutionTree.runProgressive(table, q, seed = 5).finalValue)
+    assert(qa != ExecutionTree.run(table, q, seed = 6))
   }
 
   test("empty table yields the zero summary") {
